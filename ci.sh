@@ -89,6 +89,64 @@ SMOKE
     test ! -e .ci-unitsd.sock
 fi
 
+# Bounded-cache smoke: every distinct argument is a new engine artifact,
+# so capacity + 500 of them against one plug-in must push the cache to
+# its bound and hold it there. Every answer is checked, and `stats`
+# must show the entry count at most the capacity and at least 500
+# capacity evictions.
+if command -v python3 >/dev/null 2>&1; then
+    ./target/release/unitsd --socket .ci-unitsd.sock --level untyped &
+    UNITSD_PID=$!
+    python3 - <<'BOUNDED'
+import json, socket, struct, time
+
+def connect():
+    deadline = time.time() + 30
+    while True:
+        try:
+            s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            s.connect('.ci-unitsd.sock')
+            return s
+        except OSError:
+            assert time.time() < deadline, 'unitsd never came up'
+            time.sleep(0.05)
+
+def call(s, obj):
+    body = json.dumps(obj).encode()
+    s.sendall(struct.pack('>I', len(body)) + body)
+    data = b''
+    while len(data) < 4:
+        chunk = s.recv(4 - len(data))
+        assert chunk, 'server hung up'
+        data += chunk
+    (n,) = struct.unpack('>I', data)
+    data = b''
+    while len(data) < n:
+        chunk = s.recv(n - len(data))
+        assert chunk, 'server hung up mid-frame'
+        data += chunk
+    return json.loads(data)
+
+s = connect()
+assert call(s, {'op': 'hello', 'tenant': 'ci'})['ok']
+square = '(unit (import) (export) (init (lambda (n) (* n n))))'
+assert call(s, {'op': 'load', 'name': 'f', 'source': square})['version'] == 1
+capacity = call(s, {'op': 'stats'})['engine']['cache']['capacity']
+assert capacity > 0, capacity
+for n in range(capacity + 500):
+    reply = call(s, {'op': 'invoke', 'name': 'f', 'arg': n})
+    assert reply['ok'] and reply['value'] == str(n * n), (n, reply)
+cache = call(s, {'op': 'stats'})['engine']['cache']
+assert cache['entries'] <= cache['capacity'], cache
+assert cache['evictions'] >= 500, cache
+assert call(s, {'op': 'shutdown'})['stopping']
+print(f"bounded-cache smoke: {capacity + 500} distinct invokes, "
+      f"{cache['entries']}/{cache['capacity']} entries, {cache['evictions']} evictions")
+BOUNDED
+    wait "$UNITSD_PID"
+    test ! -e .ci-unitsd.sock
+fi
+
 # Persistent-store gates. (1) Cross-process warm start: a second daemon
 # process over the same --cache-dir must answer the same `run` from
 # disk — the engine reports zero parses. (2) Corrupt-cache smoke: flip
@@ -306,6 +364,11 @@ print(f"B.10 service gate: {b10['1']['req_per_s']:.0f} req/s at 1 tenant, "
 GATE
 fi
 rm -f BENCH_trace.json CHROME_trace.json .ci-bench-trace.tmp
+
+# The benchmark driver's own unit tests (statistics, corpus, load-loop
+# accounting, span tracer). This builds and runs perfbench; it does not
+# edit it.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Three-backend agreement: the differential suite runs 600 random link
 # topologies on the reducer, the tree-walker, and the bytecode VM, and

@@ -347,12 +347,14 @@ impl Repl {
         }
         let snap = self.engine.metrics_snapshot();
         println!(
-            ";; cache:    {} source hits, {} term hits, {} misses, {} evictions, {} artifacts",
+            ";; cache:    {} source hits, {} term hits, {} misses, {} evictions, \
+             {} artifacts (capacity {})",
             snap.cache.source_hits,
             snap.cache.term_hits,
             snap.cache.misses,
             snap.cache.evictions,
-            snap.cache.entries
+            snap.cache.entries,
+            snap.cache.capacity
         );
         println!(
             ";; pool:     {} batches, {} jobs, peak {} workers",

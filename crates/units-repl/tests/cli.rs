@@ -219,6 +219,7 @@ fn metrics_command_reports_and_resets() {
     );
     assert!(stdout.contains("42"), "{stdout}");
     assert!(stdout.contains(";; runs:     1 total"), "{stdout}");
+    assert!(stdout.contains("1 artifacts (capacity "), "{stdout}");
     assert!(stdout.contains("p50"), "{stdout}");
     assert!(stdout.contains(";; engine metrics reset"), "{stdout}");
     assert!(stdout.contains(";; runs:     0 total"), "{stdout}");

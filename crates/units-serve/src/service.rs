@@ -518,20 +518,23 @@ impl Tenant {
         requested: Limits,
     ) -> Result<Outcome, ServeError> {
         self.admitted(requested, |tenant, limits| {
-            let loaded = match arg {
-                None => version.loaded.clone(),
-                Some(n) => {
-                    // A fresh term per argument; the engine's term cache
-                    // makes repeats of one (plug-in, arg) pair warm.
-                    let call = Expr::app(
-                        Expr::invoke_program(version.unit.clone()),
-                        vec![Expr::int(n)],
-                    );
-                    tenant.service.engine.load_expr(call)?
-                }
-            };
+            let loaded = tenant.program(version, arg)?;
             loaded.run_with(tenant.service.engine.backend(), limits).map_err(ServeError::from)
         })
+    }
+
+    /// The program a request runs: the plug-in itself, or the plug-in's
+    /// invoke result applied to `arg`. A fresh term per argument; the
+    /// engine's term cache makes repeats of one (plug-in, arg) pair warm.
+    fn program(&self, version: &PluginVersion, arg: Option<i64>) -> Result<Loaded, ServeError> {
+        match arg {
+            None => Ok(version.loaded.clone()),
+            Some(n) => {
+                let call =
+                    Expr::app(Expr::invoke_program(version.unit.clone()), vec![Expr::int(n)]);
+                Ok(self.service.engine.load_expr(call)?)
+            }
+        }
     }
 
     /// Runs a raw program (not a published plug-in) under this
@@ -564,17 +567,7 @@ impl Tenant {
             ServeError::PluginMissing { name: name.to_string() }
         })?;
         self.admitted(Limits::none(), |tenant, _limits| {
-            let loaded = match arg {
-                None => version.loaded.clone(),
-                Some(n) => {
-                    let call = Expr::app(
-                        Expr::invoke_program(version.unit.clone()),
-                        vec![Expr::int(n)],
-                    );
-                    tenant.service.engine.load_expr(call)?
-                }
-            };
-            loaded.run_differential().map_err(ServeError::from)
+            tenant.program(&version, arg)?.run_differential().map_err(ServeError::from)
         })
     }
 

@@ -106,6 +106,39 @@ fn swapped_out_versions_do_not_linger_in_the_term_cache() {
 }
 
 #[test]
+fn sustained_distinct_invokes_with_swaps_stay_within_the_cache_bound() {
+    let service = untyped();
+    let tenant = service.tenant("a");
+    tenant.load_plugin("f", SQUARE, None).unwrap();
+    let pinned = tenant.plugin("f").unwrap();
+    let capacity = service.engine().metrics_snapshot().cache.capacity;
+    let requests = capacity + 1000;
+    let mut cubing = false;
+    for n in 0..requests as i64 {
+        // A hot swap every 64th request, alternating the two plug-ins.
+        if n % 64 == 63 {
+            cubing = !cubing;
+            let info = tenant.swap_plugin("f", if cubing { CUBE } else { SQUARE }, None).unwrap();
+            assert!(info.evicted, "swap {} found its predecessor cached", info.version);
+        }
+        let expected = if cubing { n * n * n } else { n * n };
+        assert_eq!(tenant.invoke("f", Some(n)).unwrap().value, Observation::Int(expected));
+        let entries = service.engine().cache_stats().entries;
+        assert!(entries <= capacity, "{entries} entries after request {n}");
+    }
+    let cache = service.engine().metrics_snapshot().cache;
+    assert_eq!(cache.entries, capacity);
+    assert!(cache.evictions >= 1000, "{cache:?}");
+    // The version pinned before every swap still serves, on new
+    // arguments too, after its artifact left the cache long ago.
+    assert_eq!(pinned.version(), 1);
+    for n in [7, requests as i64 + 1] {
+        let outcome = tenant.invoke_version(&pinned, Some(n), Limits::none()).unwrap();
+        assert_eq!(outcome.value, Observation::Int(n * n));
+    }
+}
+
+#[test]
 fn signature_checked_swaps_reject_interface_breaks() {
     let service = Service::new(); // typed: Level::Constructed
     let tenant = service.tenant("a");

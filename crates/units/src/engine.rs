@@ -7,7 +7,9 @@
 //! skips the Fig. 10/15/19 checks and the §4.1.6 resolution prepass, and
 //! every instantiation shares one compiled copy of the code (the paper's
 //! "one copy of the code regardless of how many times the unit is linked
-//! or invoked").
+//! or invoked"). The cache is bounded: past a fixed number of artifacts,
+//! each admission evicts one chosen by CLOCK (second chance), so a
+//! session that sees endless distinct programs stays a fixed size.
 //!
 //! Independent sources (top-level batches, [`Archive`] entries) run the
 //! whole parse → check → resolve → lower pipeline in parallel on a
@@ -79,7 +81,7 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Instant;
 
 use units_check::{check_program, CheckOptions, Level, Strictness};
@@ -103,6 +105,9 @@ use crate::outcome::{Backend, Outcome};
 struct Artifact {
     /// The parsed kernel term, as written.
     expr: Expr,
+    /// The term key the cache files the artifact under, so an eviction
+    /// finds its slot without re-hashing the term.
+    tkey: u64,
     /// The program's type at typed levels.
     ty: Option<Ty>,
     /// The lexical-address-resolved form the compiled backend runs.
@@ -128,13 +133,147 @@ impl Artifact {
     }
 }
 
+/// The most artifacts one engine keeps cached. Admitting one more
+/// evicts an artifact chosen by CLOCK (second chance).
+const CACHE_CAPACITY: usize = 4096;
+
+/// One admitted artifact, with every source key that reaches it and its
+/// CLOCK reference bit.
+#[derive(Debug)]
+struct Slot {
+    artifact: Arc<Artifact>,
+    /// Source keys registered as fast paths to this artifact.
+    aliases: Vec<u64>,
+    /// Set by every hit; the CLOCK hand spares and clears it once.
+    referenced: bool,
+}
+
+/// The bounded artifact cache. Each artifact is filed once, in a slot
+/// whose index is its id; the two key maps hold ids. Evicting an
+/// artifact unlinks its aliases and its term-bucket id, and frees the
+/// slot, so it costs O(aliases) and never scans the cache.
 #[derive(Debug, Default)]
 struct Cache {
+    /// Slots by id; `None` marks one freed by an explicit eviction.
+    slots: Vec<Option<Slot>>,
+    /// Freed slot ids, refilled before the CLOCK hand has to evict.
+    free: Vec<usize>,
+    /// The CLOCK hand: the next slot considered for eviction.
+    hand: usize,
     /// Exact-source fast path: hash of the raw text (plus options).
-    by_source: HashMap<u64, Arc<Artifact>>,
+    by_source: HashMap<u64, usize>,
     /// Content path: alpha-normalized term hash (plus options), with the
     /// bucket confirmed by [`alpha_eq`] to rule out collisions.
-    by_term: HashMap<u64, Vec<Arc<Artifact>>>,
+    by_term: HashMap<u64, Vec<usize>>,
+}
+
+impl Cache {
+    /// Distinct artifacts currently cached.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn slot(&mut self, id: usize) -> &mut Slot {
+        self.slots[id].as_mut().expect("cache maps name only occupied slots")
+    }
+
+    /// A hit on slot `id`: sets its reference bit, returns its artifact.
+    fn touch(&mut self, id: usize) -> Arc<Artifact> {
+        let slot = self.slot(id);
+        slot.referenced = true;
+        slot.artifact.clone()
+    }
+
+    /// The artifact filed under source key `skey`, as a hit.
+    fn source_hit(&mut self, skey: u64) -> Option<Arc<Artifact>> {
+        let id = *self.by_source.get(&skey)?;
+        Some(self.touch(id))
+    }
+
+    /// The artifact alpha-equal to `expr` under term key `tkey`, as a
+    /// hit, registering `skey` as a fast path to it.
+    fn term_hit(&mut self, skey: u64, tkey: u64, expr: &Expr) -> Option<Arc<Artifact>> {
+        let id = *self.by_term.get(&tkey)?.iter().find(|&&id| {
+            self.slots[id].as_ref().is_some_and(|slot| alpha_eq(&slot.artifact.expr, expr))
+        })?;
+        self.alias(skey, id);
+        Some(self.touch(id))
+    }
+
+    /// Points source key `skey` at slot `id`, keeping the alias lists
+    /// in step with the map.
+    fn alias(&mut self, skey: u64, id: usize) {
+        match self.by_source.insert(skey, id) {
+            Some(old) if old == id => return,
+            Some(old) => self.slot(old).aliases.retain(|&k| k != skey),
+            None => {}
+        }
+        self.slot(id).aliases.push(skey);
+    }
+
+    /// Files a new artifact under both keys. When the cache is full the
+    /// CLOCK hand evicts one first; that artifact comes back so the
+    /// caller can count it and drop it outside the lock.
+    fn insert(&mut self, skey: u64, artifact: Artifact) -> (Arc<Artifact>, Option<Arc<Artifact>>) {
+        let mut evicted = None;
+        let id = if let Some(id) = self.free.pop() {
+            id
+        } else if self.slots.len() < CACHE_CAPACITY {
+            self.slots.push(None);
+            self.slots.len() - 1
+        } else {
+            let id = self.sweep();
+            evicted = self.remove(id);
+            id
+        };
+        let artifact = Arc::new(artifact);
+        self.by_term.entry(artifact.tkey).or_default().push(id);
+        self.slots[id] =
+            Some(Slot { artifact: artifact.clone(), aliases: Vec::new(), referenced: false });
+        self.alias(skey, id);
+        (artifact, evicted)
+    }
+
+    /// Advances the hand to the first unreferenced slot, clearing the
+    /// reference bits it passes. Called only when every slot is full,
+    /// so it stops within two turns of the clock.
+    fn sweep(&mut self) -> usize {
+        loop {
+            let id = self.hand;
+            self.hand = (id + 1) % self.slots.len();
+            match &mut self.slots[id] {
+                Some(slot) if slot.referenced => slot.referenced = false,
+                _ => return id,
+            }
+        }
+    }
+
+    /// Empties slot `id`, unlinking every key that reaches it. The
+    /// caller reuses or frees the slot.
+    fn remove(&mut self, id: usize) -> Option<Arc<Artifact>> {
+        let slot = self.slots[id].take()?;
+        for skey in &slot.aliases {
+            self.by_source.remove(skey);
+        }
+        let tkey = slot.artifact.tkey;
+        if let Some(bucket) = self.by_term.get_mut(&tkey) {
+            bucket.retain(|&i| i != id);
+            if bucket.is_empty() {
+                self.by_term.remove(&tkey);
+            }
+        }
+        Some(slot.artifact)
+    }
+
+    /// Drops `artifact` from the cache, if it is still filed there.
+    fn evict(&mut self, artifact: &Arc<Artifact>) -> Option<Arc<Artifact>> {
+        let id = *self.by_term.get(&artifact.tkey)?.iter().find(|&&id| {
+            self.slots[id].as_ref().is_some_and(|slot| Arc::ptr_eq(&slot.artifact, artifact))
+        })?;
+        let removed = self.remove(id);
+        self.free.push(id);
+        removed
+    }
 }
 
 /// Cache counters, for tests and dashboards.
@@ -532,7 +671,7 @@ impl Engine {
     /// log₂-ns histogram buckets). Available in every build — only the
     /// flight-dump count needs the `trace` feature to be nonzero.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot(self.inner.cache_entries())
+        self.inner.metrics.snapshot(self.inner.cache_entries(), CACHE_CAPACITY)
     }
 
     /// Zeroes the metrics plane. Cache contents, recovery records, and
@@ -554,7 +693,8 @@ impl Engine {
     /// next load of the same source checks and resolves from scratch.
     /// Returns whether anything was actually removed (a second eviction
     /// of the same handle, or of one the engine already evicted after a
-    /// panic, is a no-op).
+    /// panic or for capacity, is a no-op). Every source spelling and
+    /// term alias of the artifact goes with it, in O(aliases).
     ///
     /// The handle itself — and every clone of it — keeps working: it
     /// owns the artifact by `Arc`, so in-flight runs finish on the copy
@@ -602,7 +742,7 @@ impl Engine {
         let result = guard("load", || {
             // No source text, so key the source map by the term hash too.
             let tkey = inner.term_key(&expr);
-            if let Some(artifact) = inner.term_lookup(tkey, tkey, &expr) {
+            if let Some(artifact) = inner.cache.lock().unwrap().term_hit(tkey, tkey, &expr) {
                 inner.record_hit(false);
                 return Ok(artifact);
             }
@@ -798,7 +938,7 @@ impl EngineInner {
     }
 
     fn cache_entries(&self) -> usize {
-        self.cache.lock().unwrap().by_term.values().map(Vec::len).sum()
+        self.cache.lock().unwrap().len()
     }
 
     fn source_key(&self, source: &str) -> u64 {
@@ -829,40 +969,33 @@ impl EngineInner {
         units_trace::count("engine/cache_miss", 1);
     }
 
-    /// Drops `artifact` from both cache maps. A run that panicked says
+    /// Drops `artifact` from the cache. A run that panicked says
     /// nothing about how far it got before dying, so the artifact it
     /// was running is invalidated rather than trusted on the next load;
     /// a server retiring a swapped-out plug-in uses the same path.
     /// Returns whether anything was removed.
     fn evict_artifact(&self, artifact: &Arc<Artifact>) -> bool {
-        let mut cache = self.cache.lock().unwrap();
-        let before: usize = cache.by_term.values().map(Vec::len).sum();
-        cache.by_source.retain(|_, a| !Arc::ptr_eq(a, artifact));
-        for bucket in cache.by_term.values_mut() {
-            bucket.retain(|a| !Arc::ptr_eq(a, artifact));
+        let removed = self.cache.lock().unwrap().evict(artifact);
+        if removed.is_some() {
+            self.record_eviction();
         }
-        cache.by_term.retain(|_, bucket| !bucket.is_empty());
-        let removed = cache.by_term.values().map(Vec::len).sum::<usize>() < before;
-        drop(cache);
-        if removed {
-            bump(&self.metrics.evictions);
-            units_trace::count("engine/cache_evict", 1);
-        }
-        removed
+        removed.is_some()
     }
 
-    /// The cached artifact alpha-equal to `expr`, if any, registering the
-    /// source key as a fast path for next time.
-    fn term_lookup(&self, skey: u64, tkey: u64, expr: &Expr) -> Option<Arc<Artifact>> {
-        let mut cache = self.cache.lock().unwrap();
-        let found = cache
-            .by_term
-            .get(&tkey)?
-            .iter()
-            .find(|a| alpha_eq(&a.expr, expr))
-            .cloned()?;
-        cache.by_source.insert(skey, found.clone());
-        Some(found)
+    fn record_eviction(&self) {
+        bump(&self.metrics.evictions);
+        units_trace::count("engine/cache_evict", 1);
+    }
+
+    /// Files a new artifact under `skey`, counting (and dropping, outside
+    /// the lock) whatever the CLOCK hand evicted to make room.
+    fn file(&self, mut cache: MutexGuard<Cache>, skey: u64, artifact: Artifact) -> Arc<Artifact> {
+        let (artifact, evicted) = cache.insert(skey, artifact);
+        drop(cache);
+        if evicted.is_some() {
+            self.record_eviction();
+        }
+        artifact
     }
 
     /// Checks and resolves `expr` from scratch, caching the artifact
@@ -883,20 +1016,13 @@ impl EngineInner {
         let ty = check_program(&expr, self.opts)?;
         let resolved = if self.resolve { Some(resolve_program(&expr)) } else { None };
         let mut cache = self.cache.lock().unwrap();
-        if let Some(found) = cache
-            .by_term
-            .get(&tkey)
-            .and_then(|b| b.iter().find(|a| alpha_eq(&a.expr, &expr)).cloned())
-        {
-            cache.by_source.insert(skey, found.clone());
+        if let Some(found) = cache.term_hit(skey, tkey, &expr) {
             drop(cache);
             self.record_hit(false);
             return Ok(found);
         }
-        let artifact = Arc::new(Artifact { expr, ty, resolved, chunk: OnceLock::new() });
-        cache.by_source.insert(skey, artifact.clone());
-        cache.by_term.entry(tkey).or_default().push(artifact.clone());
-        drop(cache);
+        let artifact =
+            self.file(cache, skey, Artifact { expr, tkey, ty, resolved, chunk: OnceLock::new() });
         self.record_miss();
         self.store_write(skey, source, &artifact);
         Ok(artifact)
@@ -905,22 +1031,14 @@ impl EngineInner {
     /// Inserts an artifact rebuilt from a verified store entry, racing
     /// fairly against concurrent in-memory admissions of the same term
     /// (the loser shares the winner, exactly like [`EngineInner::admit`]).
-    fn admit_prebuilt(&self, skey: u64, tkey: u64, artifact: Artifact) -> Arc<Artifact> {
+    fn admit_prebuilt(&self, skey: u64, artifact: Artifact) -> Arc<Artifact> {
         let mut cache = self.cache.lock().unwrap();
-        if let Some(found) = cache
-            .by_term
-            .get(&tkey)
-            .and_then(|b| b.iter().find(|a| alpha_eq(&a.expr, &artifact.expr)).cloned())
-        {
-            cache.by_source.insert(skey, found.clone());
+        if let Some(found) = cache.term_hit(skey, artifact.tkey, &artifact.expr) {
             drop(cache);
             self.record_hit(false);
             return found;
         }
-        let artifact = Arc::new(artifact);
-        cache.by_source.insert(skey, artifact.clone());
-        cache.by_term.entry(tkey).or_default().push(artifact.clone());
-        artifact
+        self.file(cache, skey, artifact)
     }
 
     /// Probes the persistent store for `source`, admitting a verified
@@ -937,10 +1055,15 @@ impl EngineInner {
                 if let Some(lowered) = entry.chunk {
                     let _ = chunk.set(Arc::new(lowered));
                 }
-                let artifact =
-                    Artifact { expr: entry.expr, ty: entry.ty, resolved: entry.resolved, chunk };
-                let tkey = self.term_key(&artifact.expr);
-                Some(self.admit_prebuilt(skey, tkey, artifact))
+                let tkey = self.term_key(&entry.expr);
+                let artifact = Artifact {
+                    expr: entry.expr,
+                    tkey,
+                    ty: entry.ty,
+                    resolved: entry.resolved,
+                    chunk,
+                };
+                Some(self.admit_prebuilt(skey, artifact))
             }
             Lookup::Miss => {
                 bump(&self.metrics.store_misses);
@@ -989,7 +1112,7 @@ impl EngineInner {
     /// is which unwind boundary and fault plane wraps it.
     fn load_uncached(&self, source: &str) -> Result<Arc<Artifact>, Error> {
         let skey = self.source_key(source);
-        if let Some(artifact) = self.cache.lock().unwrap().by_source.get(&skey).cloned() {
+        if let Some(artifact) = self.cache.lock().unwrap().source_hit(skey) {
             self.record_hit(true);
             return Ok(artifact);
         }
@@ -1002,7 +1125,7 @@ impl EngineInner {
         bump(&self.metrics.parses);
         let expr = parse_file(source)?;
         let tkey = self.term_key(&expr);
-        if let Some(artifact) = self.term_lookup(skey, tkey, &expr) {
+        if let Some(artifact) = self.cache.lock().unwrap().term_hit(skey, tkey, &expr) {
             self.record_hit(false);
             return Ok(artifact);
         }
@@ -1626,6 +1749,163 @@ mod tests {
             let outcome = result.as_ref().unwrap().run().unwrap();
             assert_eq!(outcome.value, Observation::Int(n as i64 + 1));
         }
+    }
+
+    /// The `n`th of an endless family of α-distinct programs, each
+    /// answering `2 * n`.
+    fn program(n: usize) -> String {
+        format!("(invoke (unit (import) (export) (init (* {n} 2))))")
+    }
+
+    fn capacity(engine: &Engine) -> usize {
+        engine.metrics_snapshot().cache.capacity
+    }
+
+    /// Distinct artifacts the cache's key maps reach, checking on the
+    /// way that every key names an occupied slot, that no artifact is
+    /// filed twice, and that every occupied slot is reachable.
+    fn distinct_cached(engine: &Engine) -> usize {
+        let cache = engine.inner.cache.lock().unwrap();
+        let ids: HashSet<usize> = cache
+            .by_source
+            .values()
+            .chain(cache.by_term.values().flatten())
+            .copied()
+            .collect();
+        let artifacts: HashSet<*const Artifact> = ids
+            .iter()
+            .map(|&id| cache.slots[id].as_ref().expect("key names a live slot"))
+            .map(|slot| Arc::as_ptr(&slot.artifact))
+            .collect();
+        assert_eq!(artifacts.len(), ids.len(), "an artifact is filed under two ids");
+        assert_eq!(cache.slots.iter().flatten().count(), ids.len(), "an unreachable slot");
+        artifacts.len()
+    }
+
+    #[test]
+    fn capacity_bounds_the_cache_and_counts_each_eviction() {
+        let engine = Engine::new();
+        let capacity = capacity(&engine);
+        let k = 37;
+        for n in 0..capacity + k {
+            assert_eq!(engine.invoke(&program(n)).unwrap().value, Observation::Int(2 * n as i64));
+        }
+        let cache = engine.metrics_snapshot().cache;
+        assert_eq!(cache.entries, capacity);
+        assert_eq!(cache.evictions, k as u64);
+        assert_eq!((cache.misses, cache.source_hits + cache.term_hits), ((capacity + k) as u64, 0));
+        assert_eq!(distinct_cached(&engine), capacity);
+    }
+
+    #[test]
+    fn a_program_hit_between_sweeps_gets_a_second_chance() {
+        let engine = Engine::new();
+        let capacity = capacity(&engine);
+        engine.load(SQUARE).unwrap();
+        for n in 0..capacity - 1 {
+            engine.load(&program(n)).unwrap();
+        }
+        // Full, and nothing evicted yet. The hit sets SQUARE's bit.
+        assert_eq!(engine.cache_stats().entries, capacity);
+        engine.load(SQUARE).unwrap();
+        // A sweep of cold programs: the hand passes SQUARE once, clears
+        // its bit and spares it, and evicts the unreferenced programs.
+        let cold = capacity / 2;
+        for n in capacity - 1..capacity - 1 + cold {
+            engine.load(&program(n)).unwrap();
+        }
+        assert_eq!(engine.metrics_snapshot().cache.evictions, cold as u64);
+        let before = engine.cache_stats();
+        engine.load(SQUARE).unwrap();
+        let after = engine.cache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses), "SQUARE survived");
+        // The oldest cold program, never hit, did not.
+        engine.load(&program(0)).unwrap();
+        assert_eq!(engine.cache_stats().misses, after.misses + 1);
+    }
+
+    #[test]
+    fn capacity_evicted_handles_still_run_and_reload_as_misses() {
+        let engine = Engine::new();
+        let capacity = capacity(&engine);
+        let printing = "(invoke (unit (import) (export) (init (display \"sq\") (* 12 12))))";
+        let pinned = engine.load(printing).unwrap();
+        let first = pinned.run().unwrap();
+        for n in 0..capacity {
+            engine.load(&program(n)).unwrap();
+        }
+        // The hand's first victim is the oldest unreferenced slot: ours.
+        assert_eq!(engine.metrics_snapshot().cache.evictions, 1);
+        assert!(!engine.evict(&pinned), "already evicted for capacity");
+        assert_eq!(pinned.run().unwrap(), first);
+        let misses = engine.cache_stats().misses;
+        let reloaded = engine.load(printing).unwrap();
+        assert_eq!(engine.cache_stats().misses, misses + 1);
+        assert!(!Arc::ptr_eq(&pinned.artifact, &reloaded.artifact));
+        let again = reloaded.run().unwrap();
+        assert_eq!(format!("{again:?}"), format!("{first:?}"));
+        assert_eq!(again.output, ["sq"]);
+    }
+
+    #[test]
+    fn one_eviction_removes_every_alias_of_an_artifact() {
+        let renamed = "(invoke (unit (import) (export)
+            (define sq (lambda (m) (* m m)))
+            (init (sq 12))))";
+        let expr = units_syntax::parse_expr(SQUARE).unwrap();
+        // One round per alias: file the artifact under all three keys,
+        // evict once, and the next load through that alias is a miss.
+        for probe in 0..3 {
+            let engine = Engine::new();
+            let loaded = engine.load(SQUARE).unwrap();
+            engine.load(renamed).unwrap();
+            engine.load_expr(expr.clone()).unwrap();
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+            assert!(engine.evict(&loaded));
+            assert_eq!(engine.cache_stats().entries, 0);
+            assert_eq!(distinct_cached(&engine), 0, "an alias outlived the eviction");
+            let reload = match probe {
+                0 => engine.load(SQUARE),
+                1 => engine.load(renamed),
+                _ => engine.load_expr(expr.clone()),
+            };
+            assert_eq!(reload.unwrap().run().unwrap().value, Observation::Int(144));
+            let stats = engine.cache_stats();
+            assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1), "probe {probe}");
+        }
+    }
+
+    #[test]
+    fn entries_count_the_distinct_live_artifacts() {
+        let engine = Engine::new();
+        let mut live: HashMap<usize, Loaded> = HashMap::new();
+        for n in 0..60 {
+            live.insert(n, engine.load(&program(n)).unwrap());
+        }
+        // Explicit evictions, re-admissions, term-path aliases, repeats.
+        for n in (0..60).step_by(3) {
+            assert!(engine.evict(&live.remove(&n).unwrap()));
+        }
+        for n in (0..60).step_by(6) {
+            live.insert(n, engine.load(&program(n)).unwrap());
+        }
+        for n in 40..80 {
+            let expr = units_syntax::parse_expr(&program(n)).unwrap();
+            live.insert(n, engine.load_expr(expr).unwrap());
+            engine.load(&program(n)).unwrap();
+        }
+        assert_eq!(engine.cache_stats().entries, live.len());
+        assert_eq!(distinct_cached(&engine), live.len());
+        // Past capacity, explicitly freed slots are refilled first, then
+        // the hand evicts; the count stays exact either way.
+        let capacity = capacity(&engine);
+        for n in 1000..1000 + capacity {
+            engine.load(&program(n)).unwrap();
+        }
+        assert!(engine.evict(&engine.load(&program(1000 + capacity - 1)).unwrap()));
+        assert_eq!(engine.cache_stats().entries, capacity - 1);
+        assert_eq!(distinct_cached(&engine), capacity - 1);
     }
 
     #[test]

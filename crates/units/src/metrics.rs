@@ -84,9 +84,9 @@ impl EngineMetrics {
         self.pool_peak_workers.fetch_max(workers, Relaxed);
     }
 
-    /// A structured copy of everything, with `entries` supplied by the
-    /// cache (it owns the map).
-    pub fn snapshot(&self, entries: usize) -> MetricsSnapshot {
+    /// A structured copy of everything, with `entries` and `capacity`
+    /// supplied by the cache (it owns the slots).
+    pub fn snapshot(&self, entries: usize, capacity: usize) -> MetricsSnapshot {
         let lat = self.invoke_latency.lock().unwrap();
         MetricsSnapshot {
             cache: CacheMetrics {
@@ -96,6 +96,7 @@ impl EngineMetrics {
                 evictions: self.evictions.load(Relaxed),
                 parses: self.parses.load(Relaxed),
                 entries,
+                capacity,
             },
             pool: PoolMetrics {
                 batches: self.pool_batches.load(Relaxed),
@@ -175,7 +176,10 @@ pub struct CacheMetrics {
     pub term_hits: u64,
     /// Loads that had to check and resolve from scratch.
     pub misses: u64,
-    /// Artifacts evicted after a panic poisoned them.
+    /// Artifacts dropped from the cache, for any of three causes: an
+    /// explicit [`crate::Engine::evict`] (a hot swap retiring a plug-in),
+    /// a run that panicked on the artifact, or the capacity bound (the
+    /// CLOCK hand making room for a new admission).
     pub evictions: u64,
     /// Source texts the engine actually parsed. Cache hits skip parsing
     /// on the raw-source fast path, so this stays flat on warm loads —
@@ -183,6 +187,8 @@ pub struct CacheMetrics {
     pub parses: u64,
     /// Artifacts currently cached.
     pub entries: usize,
+    /// The most artifacts the cache holds; `entries` never exceeds it.
+    pub capacity: usize,
 }
 
 /// Worker-pool activity for `load_batch` / `load_archive`.
@@ -285,7 +291,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"cache\":{{\"source_hits\":{},\"term_hits\":{},\"misses\":{},\
-             \"evictions\":{},\"parses\":{},\"entries\":{}}},\
+             \"evictions\":{},\"parses\":{},\"entries\":{},\"capacity\":{}}},\
              \"pool\":{{\"batches\":{},\"jobs\":{},\"peak_workers\":{}}},\
              \"recovery\":{{\"fuel_retries\":{},\"reference_fallbacks\":{},\
              \"recovered_runs\":{},\"flight_dumps\":{},\
@@ -302,6 +308,7 @@ impl MetricsSnapshot {
             self.cache.evictions,
             self.cache.parses,
             self.cache.entries,
+            self.cache.capacity,
             self.pool.batches,
             self.pool.jobs,
             self.pool.peak_workers,
@@ -341,7 +348,7 @@ mod tests {
         metrics.note_machine(100, 7);
         metrics.note_machine(40, 9);
         metrics.note_batch(3, 2);
-        let snap = metrics.snapshot(5);
+        let snap = metrics.snapshot(5, 8);
         assert_eq!(snap.runs.total, 2);
         assert_eq!(snap.runs.failures, 1);
         assert_eq!(snap.runs.fuel_total, 140);
@@ -355,9 +362,10 @@ mod tests {
         units_trace::json::validate(&json).unwrap();
         assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""));
         assert!(json.contains("\"parses\""));
+        assert!(json.contains("\"entries\":5,\"capacity\":8"), "{json}");
         assert!(json.contains("\"store\"") && json.contains("\"corrupt\""));
         assert!(json.contains("\"flight_dump_failures\""));
         metrics.reset();
-        assert_eq!(metrics.snapshot(0), MetricsSnapshot::default());
+        assert_eq!(metrics.snapshot(0, 0), MetricsSnapshot::default());
     }
 }
