@@ -19,8 +19,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # client (python speaks the 4-byte-length-prefixed JSON frames from
 # scratch, so the rust Client cannot mask a framing bug): two tenants,
 # load, invoke, hot swap, per-request budgets, admission denial,
-# stats, shutdown. The richer concurrency/chaos coverage lives in
-# crates/units-serve/tests and runs in the cargo test sweeps.
+# bad requests (an unparsable body, a mistyped field) answered on a
+# connection that stays open, stats, shutdown. The richer
+# concurrency/chaos coverage lives in crates/units-serve/tests and runs
+# in the cargo test sweeps.
 if command -v python3 >/dev/null 2>&1; then
     ./target/release/unitsd --socket .ci-unitsd.sock --level untyped --fuel 1000000 &
     UNITSD_PID=$!
@@ -39,7 +41,9 @@ def connect():
             time.sleep(0.05)
 
 def call(s, obj):
-    body = json.dumps(obj).encode()
+    return call_raw(s, json.dumps(obj).encode())
+
+def call_raw(s, body):
     s.sendall(struct.pack('>I', len(body)) + body)
     data = b''
     while len(data) < 4:
@@ -82,8 +86,15 @@ assert ok['ok'] and ok['value'] == '8', ok
 
 stats = call(b, {'op': 'stats'})['tenants']
 assert stats['a']['rejected'] == 1 and stats['b']['ok'] == 1, stats
+
+# A body that is not JSON, and a present optional field of the wrong
+# type, are each a bad request on a connection that stays open.
+for reply in (call_raw(b, b'{"op":'),
+              call(b, {'op': 'load', 'name': 'g', 'source': square, 'sig': 5})):
+    assert reply == dict(reply, ok=False, kind='bad-request'), reply
+assert call(b, {'op': 'stats'})['ok']
 assert call(b, {'op': 'shutdown'})['stopping']
-print('unitsd smoke: 2 tenants, swap, admission, stats, shutdown OK')
+print('unitsd smoke: 2 tenants, swap, admission, bad requests, stats, shutdown OK')
 SMOKE
     wait "$UNITSD_PID"
     test ! -e .ci-unitsd.sock

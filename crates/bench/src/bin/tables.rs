@@ -30,6 +30,7 @@ use units::{
     check_program, expand_ty, subtype, type_of, Archive, Backend, CheckOptions, Engine,
     Equations, Level, Strictness, Ty,
 };
+use units_trace::json::Json;
 
 /// Median wall time of `runs` executions, in microseconds.
 fn time_us(runs: u32, mut f: impl FnMut()) -> f64 {
@@ -96,36 +97,29 @@ impl Recorder {
         });
     }
 
-    /// The whole run as one JSON document. Floats are rendered with
+    /// The whole run as one JSON document. Figures are rounded to
     /// three decimals (µs resolution is noise beyond that).
-    fn to_json(&self, quick: bool) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"bench\":\"tables\",\"quick\":{quick},\"host_parallelism\":{},\"trace_compiled\":{},",
-            host_parallelism(),
-            units_trace::COMPILED
-        ));
-        out.push_str("\"records\":[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"experiment\":{},\"series\":{},\"size\":{}",
-                units_trace::json::escape(r.experiment),
-                units_trace::json::escape(&r.series),
-                units_trace::json::escape(&r.size)
-            ));
-            for (name, value) in &r.values {
-                out.push_str(&format!(",{}:{value:.3}", units_trace::json::escape(name)));
-            }
-            out.push('}');
-        }
-        out.push_str("],");
-        out.push_str(&format!("\"engine_metrics\":{},", engine_metrics_json()));
-        out.push_str(&format!("\"pipeline_metrics\":{}", pipeline_metrics_json()));
-        out.push('}');
-        out
+    fn to_json(&self, quick: bool) -> Json {
+        let records = self.records.iter().map(|r| {
+            let mut fields = vec![
+                ("experiment", Json::str(r.experiment)),
+                ("series", Json::str(&r.series)),
+                ("size", Json::str(&r.size)),
+            ];
+            fields.extend(
+                r.values.iter().map(|&(name, v)| (name, Json::Float((v * 1e3).round() / 1e3))),
+            );
+            Json::obj(fields)
+        });
+        Json::obj([
+            ("bench", Json::str("tables")),
+            ("quick", Json::Bool(quick)),
+            ("host_parallelism", Json::from(host_parallelism() as u64)),
+            ("trace_compiled", Json::Bool(units_trace::COMPILED)),
+            ("records", Json::Arr(records.collect())),
+            ("engine_metrics", engine_metrics_json()),
+            ("pipeline_metrics", pipeline_metrics_json()),
+        ])
     }
 }
 
@@ -142,7 +136,7 @@ fn host_parallelism() -> usize {
 /// even/odd on all three backends plus one repeated load (a cache
 /// hit). Works identically with and without the `trace` feature — the
 /// invoke-latency percentiles in particular are present in every build.
-fn engine_metrics_json() -> String {
+fn engine_metrics_json() -> Json {
     let engine = session();
     let p = engine.load_expr(even_odd_program(100)).unwrap();
     p.run_on(Backend::Compiled).unwrap();
@@ -157,7 +151,7 @@ fn engine_metrics_json() -> String {
 /// exports its phase spans in Chrome `traceEvents` format. Without the
 /// `trace` feature no spans are recorded and the document is an empty
 /// (but valid) trace.
-fn chrome_trace_export() -> String {
+fn chrome_trace_export() -> Json {
     let metrics = std::sync::Arc::new(units_trace::Metrics::new());
     units_trace::install(
         std::rc::Rc::new(std::cell::RefCell::new(units_trace::NullSink)),
@@ -176,7 +170,7 @@ fn chrome_trace_export() -> String {
 /// backend under a metrics session and return the counters/durations
 /// snapshot (the bytecode run contributes its per-opcode `vm/op/…`
 /// counters). Without it: an empty object (the hooks are no-ops).
-fn pipeline_metrics_json() -> String {
+fn pipeline_metrics_json() -> Json {
     let metrics = std::sync::Arc::new(units_trace::Metrics::new());
     units_trace::install(
         std::rc::Rc::new(std::cell::RefCell::new(units_trace::NullSink)),
@@ -750,7 +744,7 @@ fn main() {
     }
 
     if json {
-        let doc = rec.to_json(quick);
+        let doc = rec.to_json(quick).render();
         units_trace::json::validate(&doc)
             .unwrap_or_else(|e| panic!("BENCH_trace.json would be invalid at {e:?}"));
         std::fs::write("BENCH_trace.json", &doc).expect("write BENCH_trace.json");
@@ -761,7 +755,7 @@ fn main() {
         );
     }
     if chrome {
-        let doc = chrome_trace_export();
+        let doc = chrome_trace_export().render();
         units_trace::json::validate(&doc)
             .unwrap_or_else(|e| panic!("CHROME_trace.json would be invalid at {e:?}"));
         std::fs::write("CHROME_trace.json", &doc).expect("write CHROME_trace.json");

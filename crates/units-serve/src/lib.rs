@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+pub use units_trace::json;
 pub mod proto;
 mod server;
 mod service;

@@ -54,6 +54,15 @@ pub fn write_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
 ///
 /// I/O errors, oversized frames, invalid UTF-8, or invalid JSON.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
+    read_body(r)?
+        .map(|body| decode_body(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)))
+        .transpose()
+}
+
+/// Reads one frame's body bytes. An error here (an oversized length,
+/// a truncated body) leaves the stream out of sync; a body that reads
+/// in full keeps it in sync whatever the bytes are.
+pub(crate) fn read_body(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
@@ -66,11 +75,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    crate::json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    Ok(Some(body))
+}
+
+/// Decodes a frame body: UTF-8 text holding one JSON value.
+pub(crate) fn decode_body(body: Vec<u8>) -> Result<Json, String> {
+    let text = String::from_utf8(body).map_err(|_| "frame is not UTF-8".to_string())?;
+    crate::json::parse(&text).map_err(|e| e.to_string())
 }
 
 /// A decoded request.
@@ -135,7 +146,18 @@ impl Request {
                 .map(str::to_string)
                 .ok_or_else(|| format!("op `{op}` needs string field `{field}`"))
         };
-        let opt_sig = || value.get_str("sig").map(str::to_string);
+        // An optional field may be absent, but a present one must have
+        // its type: a mistyped `sig` or `fuel` must not read as absent.
+        let opt_sig = || match value.get("sig") {
+            None => Ok(None),
+            Some(Json::Str(sig)) => Ok(Some(sig.clone())),
+            Some(_) => Err("field `sig` must be a string".to_string()),
+        };
+        let opt_int = |field: &str| match value.get(field) {
+            None => Ok(None),
+            Some(Json::Int(n)) => Ok(Some(*n)),
+            Some(_) => Err(format!("field `{field}` must be an integer")),
+        };
         let limits = || {
             let mut limits = Limits::none();
             for (field, slot) in [
@@ -143,7 +165,7 @@ impl Request {
                 ("depth", &mut limits.max_depth),
                 ("cells", &mut limits.max_store_cells),
             ] {
-                if let Some(n) = value.get_int(field) {
+                if let Some(n) = opt_int(field)? {
                     *slot = Some(u64::try_from(n).map_err(|_| {
                         format!("field `{field}` must be a non-negative integer")
                     })?);
@@ -154,14 +176,14 @@ impl Request {
         match op {
             "hello" => Ok(Request::Hello { tenant: need("tenant")? }),
             "load" => {
-                Ok(Request::Load { name: need("name")?, source: need("source")?, sig: opt_sig() })
+                Ok(Request::Load { name: need("name")?, source: need("source")?, sig: opt_sig()? })
             }
             "swap" => {
-                Ok(Request::Swap { name: need("name")?, source: need("source")?, sig: opt_sig() })
+                Ok(Request::Swap { name: need("name")?, source: need("source")?, sig: opt_sig()? })
             }
             "invoke" => Ok(Request::Invoke {
                 name: need("name")?,
-                arg: value.get_int("arg"),
+                arg: opt_int("arg")?,
                 limits: limits()?,
             }),
             "run" => Ok(Request::Run { source: need("source")?, limits: limits()? }),
@@ -290,6 +312,13 @@ mod tests {
             (r#"{"op":"teleport"}"#, "unknown op"),
             (r#"{"op":"load","name":"p"}"#, "source"),
             (r#"{"op":"invoke","name":"p","fuel":-1}"#, "non-negative"),
+            // A present optional field of the wrong type is refused,
+            // not read as absent: no signature check, no budget, no
+            // argument.
+            (r#"{"op":"load","name":"p","source":"(unit)","sig":5}"#, "`sig`"),
+            (r#"{"op":"invoke","name":"p","fuel":"10"}"#, "`fuel`"),
+            (r#"{"op":"invoke","name":"p","arg":7.5}"#, "`arg`"),
+            (r#"{"op":"run","source":"1","cells":[]}"#, "`cells`"),
         ];
         for (src, needle) in bad {
             let value = crate::json::parse(src).unwrap();
@@ -304,5 +333,21 @@ mod tests {
         buffer.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
         let err = read_frame(&mut buffer.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_bad_body_is_read_in_full_and_decoded_separately() {
+        let mut buffer = Vec::new();
+        for body in [&b"{\"op\":"[..], &[0xff, 0xfe][..], &b"null"[..]] {
+            buffer.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            buffer.extend_from_slice(body);
+        }
+        let mut reader = buffer.as_slice();
+        let bodies: Vec<_> = std::iter::from_fn(|| read_body(&mut reader).unwrap()).collect();
+        assert_eq!(bodies.len(), 3, "every body is consumed, so the stream stays in sync");
+        let mut decoded = bodies.into_iter().map(decode_body);
+        assert!(decoded.next().unwrap().unwrap_err().contains("invalid JSON"));
+        assert!(decoded.next().unwrap().unwrap_err().contains("UTF-8"));
+        assert_eq!(decoded.next().unwrap(), Ok(Json::Null));
     }
 }

@@ -22,8 +22,10 @@ use std::time::Duration;
 
 use units::{Limits, Outcome};
 
-use crate::json::{self, Json};
-use crate::proto::{error_response, ok_response, read_frame, write_frame, Request};
+use crate::json::Json;
+use crate::proto::{
+    decode_body, error_response, ok_response, read_body, read_frame, write_frame, Request,
+};
 use crate::service::{Service, Tenant, TenantSnapshot};
 
 /// A bound-but-not-yet-running server.
@@ -124,8 +126,8 @@ impl Connection {
         stream.set_read_timeout(self.idle_timeout)?;
         let mut tenant: Option<Tenant> = None;
         loop {
-            let frame = match read_frame(&mut stream) {
-                Ok(Some(frame)) => frame,
+            let body = match read_body(&mut stream) {
+                Ok(Some(body)) => body,
                 Ok(None) => return Ok(()), // clean EOF
                 Err(e)
                     if matches!(
@@ -140,9 +142,13 @@ impl Connection {
                     units_trace::count("serve/idle_timeouts", 1);
                     return Ok(());
                 }
+                // An oversized or truncated frame leaves the stream out
+                // of sync: close it.
                 Err(e) => return Err(e),
             };
-            let request = match Request::from_json(&frame) {
+            // A body read in full keeps the stream in sync, so one that
+            // is not UTF-8 JSON, or not a request, gets a reply.
+            let request = match decode_body(body).and_then(|frame| Request::from_json(&frame)) {
                 Ok(request) => request,
                 Err(message) => {
                     write_frame(&mut stream, &error_response("bad-request", &message))?;
@@ -234,20 +240,10 @@ fn serve_error_response(e: &crate::service::ServeError) -> Json {
 }
 
 fn stats_response(service: &Service, idle_timeouts: u64) -> Json {
-    let tenants: std::collections::BTreeMap<String, Json> = service
-        .stats()
-        .into_iter()
-        .map(|(name, snap)| (name, snapshot_json(&snap)))
-        .collect();
-    // The engine renders its own snapshot (cache, store, recovery, runs)
-    // as JSON; re-parse it into the response tree so `stats` carries one
-    // coherent object. The snapshot JSON is validated by the engine's
-    // own tests, so the fallback arm is for belt and braces.
-    let engine = json::parse(&service.engine().metrics_snapshot().to_json())
-        .unwrap_or(Json::Null);
+    let tenants = service.stats().into_iter().map(|(name, snap)| (name, snapshot_json(&snap)));
     ok_response([
-        ("tenants", Json::Obj(tenants)),
-        ("engine", engine),
+        ("tenants", Json::obj(tenants)),
+        ("engine", service.engine().metrics_snapshot().to_json()),
         ("idle_timeouts", Json::Int(idle_timeouts as i64)),
     ])
 }

@@ -2,11 +2,13 @@
 //! a fresh socket, drive the whole protocol from two concurrent
 //! tenant connections, hot-swap a plug-in, and shut the server down.
 
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use units_serve::proto::Request;
+use units_serve::proto::{read_frame, write_frame, Request};
 use units_serve::Client;
 use units::Limits;
 
@@ -259,4 +261,60 @@ fn tenant_operations_before_hello_are_refused() {
     let reply = client.invoke("f", 1).unwrap();
     assert_eq!(reply.get_bool("ok"), Some(false));
     assert_eq!(reply.get_str("kind"), Some("no-tenant"));
+}
+
+/// Writes `body` as one frame, bypassing the JSON encoder.
+fn send_raw(stream: &mut UnixStream, body: &[u8]) {
+    stream.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+}
+
+fn call_raw(stream: &mut UnixStream, request: &Request) -> units_serve::json::Json {
+    write_frame(stream, &request.to_json()).unwrap();
+    read_frame(stream).unwrap().expect("a reply, not a hangup")
+}
+
+#[test]
+fn an_unparsable_body_gets_a_bad_request_and_the_connection_stays_open() {
+    let daemon = Daemon::start("badbody", &["--level", "untyped"]);
+    drop(daemon.connect()); // the daemon is listening
+    let mut stream = UnixStream::connect(&daemon.socket).unwrap();
+
+    send_raw(&mut stream, br#"{"op":"#);
+    let reply = read_frame(&mut stream).unwrap().expect("a reply, not a hangup");
+    assert_eq!(reply.get_bool("ok"), Some(false), "{reply}");
+    assert_eq!(reply.get_str("kind"), Some("bad-request"), "{reply}");
+
+    send_raw(&mut stream, &[0xff, 0xfe, 0xfd]);
+    let reply = read_frame(&mut stream).unwrap().expect("a reply, not a hangup");
+    assert_eq!(reply.get_str("kind"), Some("bad-request"), "not UTF-8: {reply}");
+
+    let reply = call_raw(&mut stream, &Request::Stats);
+    assert_eq!(reply.get_bool("ok"), Some(true), "same connection still serves: {reply}");
+}
+
+#[test]
+fn a_leading_zero_argument_is_not_invoked() {
+    let daemon = Daemon::start("leadzero", &["--level", "untyped"]);
+    drop(daemon.connect());
+    let mut stream = UnixStream::connect(&daemon.socket).unwrap();
+    call_raw(&mut stream, &Request::Hello { tenant: "t".to_string() });
+    let load = Request::Load { name: "f".to_string(), source: SQUARE.to_string(), sig: None };
+    assert_eq!(call_raw(&mut stream, &load).get_bool("ok"), Some(true));
+
+    send_raw(&mut stream, br#"{"op":"invoke","name":"f","arg":01}"#);
+    let reply = read_frame(&mut stream).unwrap().expect("a reply, not a hangup");
+    assert_eq!(reply.get_bool("ok"), Some(false), "`01` is not JSON: {reply}");
+    assert_eq!(reply.get_str("kind"), Some("bad-request"), "{reply}");
+}
+
+#[test]
+fn an_oversized_frame_closes_the_connection() {
+    let daemon = Daemon::start("oversize", &["--level", "untyped"]);
+    drop(daemon.connect());
+    let mut stream = UnixStream::connect(&daemon.socket).unwrap();
+    let len = units_serve::proto::MAX_FRAME + 1;
+    stream.write_all(&len.to_be_bytes()).unwrap();
+    // The stream is out of sync: the server hangs up without a reply.
+    assert!(matches!(read_frame(&mut stream), Ok(None) | Err(_)));
 }

@@ -14,6 +14,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::json::Json;
+
 /// Number of log₂ nanosecond buckets ([`DurationStats::buckets`]).
 /// Bucket `i` counts samples with `floor(log2(ns)) == i`, clamped at
 /// the top; bucket 31 therefore holds everything ≥ ~2.1 s.
@@ -243,72 +245,51 @@ impl Metrics {
 
     /// The span log as a Chrome-trace/Perfetto JSON document — one
     /// complete (`"ph":"X"`) event per span, timestamps in microseconds
-    /// with nanosecond fractions. Load the output in `chrome://tracing`
-    /// or ui.perfetto.dev for a whole-session timeline. Always a valid
-    /// JSON object, even when no spans were recorded.
-    pub fn chrome_trace_json(&self) -> String {
+    /// with nanosecond fractions. Load the rendered document in
+    /// `chrome://tracing` or ui.perfetto.dev for a whole-session
+    /// timeline. Always a JSON object, even when no spans were
+    /// recorded.
+    pub fn chrome_trace_json(&self) -> Json {
         let log = self.spans.lock().expect("metrics span lock");
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, s) in log.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":\"units\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\
-                 \"ts\":{}.{:03},\"dur\":{}.{:03}}}",
-                crate::json::escape(s.name),
-                s.start_ns / 1_000,
-                s.start_ns % 1_000,
-                s.dur_ns / 1_000,
-                s.dur_ns % 1_000,
-            ));
-        }
-        out.push_str("]}");
-        out
+        let micros = |ns: u64| Json::Float(ns as f64 / 1_000.0);
+        let events = log.records.iter().map(|s| {
+            Json::obj([
+                ("name", Json::str(s.name)),
+                ("cat", Json::str("units")),
+                ("ph", Json::str("X")),
+                ("pid", Json::Int(1)),
+                ("tid", Json::Int(1)),
+                ("ts", micros(s.start_ns)),
+                ("dur", micros(s.dur_ns)),
+            ])
+        });
+        Json::obj([
+            ("displayTimeUnit", Json::str("ms")),
+            ("traceEvents", Json::Arr(events.collect())),
+        ])
     }
 
     /// The whole registry as one JSON object: `{"counters": {...},
     /// "labeled": {"name{label}": n, ...}, "durations": {name: {count,
     /// total_ns, ...}}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::json::escape(name));
-            out.push(':');
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"labeled\":{");
-        for (i, (name, value)) in self.labeled_counters().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::json::escape(name));
-            out.push(':');
-            out.push_str(&value.to_string());
-        }
-        out.push_str("},\"durations\":{");
-        for (i, (name, stats)) in self.durations().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&crate::json::escape(name));
-            out.push_str(&format!(
-                ":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\
-                 \"p50_ns\":{},\"p99_ns\":{}}}",
-                stats.count,
-                stats.total_ns,
-                if stats.count == 0 { 0 } else { stats.min_ns },
-                stats.max_ns,
-                stats.mean_ns(),
-                stats.p50_ns(),
-                stats.p99_ns()
-            ));
-        }
-        out.push_str("}}");
-        out
+    pub fn to_json(&self) -> Json {
+        let durations = self.durations().into_iter().map(|(name, stats)| {
+            let summary = Json::obj([
+                ("count", stats.count.into()),
+                ("total_ns", stats.total_ns.into()),
+                ("min_ns", (if stats.count == 0 { 0 } else { stats.min_ns }).into()),
+                ("max_ns", stats.max_ns.into()),
+                ("mean_ns", stats.mean_ns().into()),
+                ("p50_ns", stats.p50_ns().into()),
+                ("p99_ns", stats.p99_ns().into()),
+            ]);
+            (name, summary)
+        });
+        Json::obj([
+            ("counters", Json::obj(self.counters().into_iter().map(|(k, v)| (k, v.into())))),
+            ("labeled", Json::obj(self.labeled_counters().into_iter().map(|(k, v)| (k, v.into())))),
+            ("durations", Json::obj(durations)),
+        ])
     }
 }
 
@@ -369,7 +350,7 @@ mod tests {
         let snap = m.labeled_counters();
         assert_eq!(snap["serve/requests{tenant-a}"], 3);
         // Labeled counters land in the JSON export under their own key.
-        let json = m.to_json();
+        let json = m.to_json().render();
         crate::json::validate(&json).unwrap();
         assert!(json.contains("serve/requests{tenant-b}"), "{json}");
     }
@@ -379,9 +360,13 @@ mod tests {
         let m = Metrics::new();
         m.add("prim/+", 4);
         m.record_duration("eval", Duration::from_micros(3));
-        let json = m.to_json();
+        let json = m.to_json().render();
         crate::json::validate(&json).unwrap();
         assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""));
+        let eval = m.to_json().get("durations").and_then(|d| d.get("eval")).cloned().unwrap();
+        assert_eq!(eval.get_int("count"), Some(1));
+        assert_eq!(eval.get_int("total_ns"), Some(3_000));
+        assert_eq!(m.to_json().get("counters").and_then(|c| c.get_int("prim/+")), Some(4));
     }
 
     #[test]
@@ -416,14 +401,15 @@ mod tests {
         assert_eq!(spans[0].name, "eval");
         assert_eq!(spans[0].dur_ns, 5_000);
         assert_eq!(m.spans_dropped(), 0);
-        let chrome = m.chrome_trace_json();
+        let chrome = m.chrome_trace_json().render();
         crate::json::validate(&chrome).unwrap();
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("\"name\":\"check\""));
+        assert!(chrome.contains("\"dur\":5.0,") && chrome.contains("\"dur\":0.75,"), "{chrome}");
         m.reset();
         assert!(m.spans().is_empty());
-        crate::json::validate(&m.chrome_trace_json()).expect("empty export is still JSON");
+        crate::json::validate(&m.chrome_trace_json().render()).expect("empty export is still JSON");
     }
 
     #[test]

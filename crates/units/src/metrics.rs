@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use units_trace::json::Json;
 use units_trace::DurationStats;
 
 /// Internal mutable storage, one per [`crate::Engine`]. Worker threads
@@ -287,52 +288,60 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The snapshot as one JSON object (zero-dep, validated in tests).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cache\":{{\"source_hits\":{},\"term_hits\":{},\"misses\":{},\
-             \"evictions\":{},\"parses\":{},\"entries\":{},\"capacity\":{}}},\
-             \"pool\":{{\"batches\":{},\"jobs\":{},\"peak_workers\":{}}},\
-             \"recovery\":{{\"fuel_retries\":{},\"reference_fallbacks\":{},\
-             \"recovered_runs\":{},\"flight_dumps\":{},\
-             \"flight_dump_failures\":{}}},\
-             \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{},\
-             \"writes\":{}}},\
-             \"runs\":{{\"total\":{},\"failures\":{},\"fuel_total\":{},\
-             \"fuel_max\":{},\"store_cells_peak\":{}}},\
-             \"invoke_latency\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\
-             \"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}}}",
-            self.cache.source_hits,
-            self.cache.term_hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.parses,
-            self.cache.entries,
-            self.cache.capacity,
-            self.pool.batches,
-            self.pool.jobs,
-            self.pool.peak_workers,
-            self.recovery.fuel_retries,
-            self.recovery.reference_fallbacks,
-            self.recovery.recovered_runs,
-            self.recovery.flight_dumps,
-            self.recovery.flight_dump_failures,
-            self.store.hits,
-            self.store.misses,
-            self.store.corrupt,
-            self.store.writes,
-            self.runs.total,
-            self.runs.failures,
-            self.runs.fuel_total,
-            self.runs.fuel_max,
-            self.runs.store_cells_peak,
-            self.invoke_latency.count,
-            self.invoke_latency.min_ns,
-            self.invoke_latency.max_ns,
-            self.invoke_latency.mean_ns,
-            self.invoke_latency.p50_ns,
-            self.invoke_latency.p99_ns,
-        )
+    /// The snapshot as one JSON object, one member per section.
+    pub fn to_json(&self) -> Json {
+        let section = |fields: &[(&'static str, u64)]| {
+            Json::obj(fields.iter().map(|&(key, n)| (key, Json::from(n))))
+        };
+        let (c, p, r, s, n, l) =
+            (&self.cache, &self.pool, &self.recovery, &self.store, &self.runs, &self.invoke_latency);
+        let cache = section(&[
+            ("source_hits", c.source_hits),
+            ("term_hits", c.term_hits),
+            ("misses", c.misses),
+            ("evictions", c.evictions),
+            ("parses", c.parses),
+            ("entries", c.entries as u64),
+            ("capacity", c.capacity as u64),
+        ]);
+        let pool =
+            section(&[("batches", p.batches), ("jobs", p.jobs), ("peak_workers", p.peak_workers)]);
+        let recovery = section(&[
+            ("fuel_retries", r.fuel_retries),
+            ("reference_fallbacks", r.reference_fallbacks),
+            ("recovered_runs", r.recovered_runs),
+            ("flight_dumps", r.flight_dumps),
+            ("flight_dump_failures", r.flight_dump_failures),
+        ]);
+        let store = section(&[
+            ("hits", s.hits),
+            ("misses", s.misses),
+            ("corrupt", s.corrupt),
+            ("writes", s.writes),
+        ]);
+        let runs = section(&[
+            ("total", n.total),
+            ("failures", n.failures),
+            ("fuel_total", n.fuel_total),
+            ("fuel_max", n.fuel_max),
+            ("store_cells_peak", n.store_cells_peak),
+        ]);
+        let invoke_latency = section(&[
+            ("count", l.count),
+            ("min_ns", l.min_ns),
+            ("max_ns", l.max_ns),
+            ("mean_ns", l.mean_ns),
+            ("p50_ns", l.p50_ns),
+            ("p99_ns", l.p99_ns),
+        ]);
+        Json::obj([
+            ("cache", cache),
+            ("pool", pool),
+            ("recovery", recovery),
+            ("store", store),
+            ("runs", runs),
+            ("invoke_latency", invoke_latency),
+        ])
     }
 }
 
@@ -358,13 +367,17 @@ mod tests {
         assert_eq!(snap.invoke_latency.count, 2);
         assert!(snap.invoke_latency.p50_ns <= snap.invoke_latency.p99_ns);
         assert!(snap.invoke_latency.p99_ns <= snap.invoke_latency.max_ns);
-        let json = snap.to_json();
-        units_trace::json::validate(&json).unwrap();
-        assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""));
-        assert!(json.contains("\"parses\""));
-        assert!(json.contains("\"entries\":5,\"capacity\":8"), "{json}");
-        assert!(json.contains("\"store\"") && json.contains("\"corrupt\""));
-        assert!(json.contains("\"flight_dump_failures\""));
+        let json = units_trace::json::parse(&snap.to_json().render()).unwrap();
+        let field = |section: &str, key: &str| json.get(section).and_then(|s| s.get_int(key));
+        assert_eq!(field("invoke_latency", "p50_ns"), Some(snap.invoke_latency.p50_ns as i64));
+        assert_eq!(field("invoke_latency", "p99_ns"), Some(snap.invoke_latency.p99_ns as i64));
+        assert_eq!(field("cache", "parses"), Some(0));
+        assert_eq!(field("cache", "entries"), Some(5), "{json}");
+        assert_eq!(field("cache", "capacity"), Some(8), "{json}");
+        assert_eq!(field("store", "corrupt"), Some(0));
+        assert_eq!(field("recovery", "flight_dump_failures"), Some(0));
+        assert_eq!(field("runs", "fuel_total"), Some(140));
+        assert_eq!(field("pool", "jobs"), Some(3));
         metrics.reset();
         assert_eq!(metrics.snapshot(0, 0), MetricsSnapshot::default());
     }

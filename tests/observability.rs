@@ -46,7 +46,7 @@ fn metrics_snapshot_counts_cache_runs_fuel_and_latency() {
     assert!(lat.min_ns <= lat.mean_ns && lat.mean_ns <= lat.max_ns, "{lat:?}");
 
     // The JSON rendering is valid and carries the CI-gated keys.
-    let json = snap.to_json();
+    let json = snap.to_json().render();
     units::trace::json::validate(&json).expect("snapshot JSON is valid");
     assert!(json.contains("\"p50_ns\"") && json.contains("\"p99_ns\""), "{json}");
 

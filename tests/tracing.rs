@@ -252,7 +252,7 @@ fn chrome_trace_export_is_valid_and_names_the_eval_span() {
     let engine = Engine::new();
     engine.load(EVEN_ODD).unwrap().run_on(Backend::Compiled).unwrap();
     units::trace::uninstall();
-    let doc = metrics.chrome_trace_json();
+    let doc = metrics.chrome_trace_json().render();
     units::trace::json::validate(&doc).expect("chrome trace is valid JSON");
     assert!(doc.contains("\"traceEvents\""), "{doc}");
     assert!(doc.contains("\"name\":\"eval\""), "the eval phase span is present: {doc}");
@@ -291,6 +291,6 @@ fn emitted_json_is_valid() {
         units::trace::json::validate(line)
             .unwrap_or_else(|e| panic!("bad event JSON {e:?}: {line}"));
     }
-    units::trace::json::validate(&metrics.to_json()).expect("metrics snapshot is JSON");
+    units::trace::json::validate(&metrics.to_json().render()).expect("metrics snapshot is JSON");
     assert!(metrics.counter("reduce/steps") > 0, "step counter folded into metrics");
 }
